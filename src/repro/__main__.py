@@ -64,6 +64,7 @@ from repro.apps import (
 )
 from repro.bench import figure9_decomposition, render_table
 from repro.bench.harness import run_audit_phase
+from repro.common.errors import AuditInfrastructureError
 from repro.core import Auditor, simple_audit
 from repro.core.config import AuditConfig, parse_epoch_cuts
 from repro.core.partition import partition_audit_inputs
@@ -339,8 +340,12 @@ def _audit_follow(args, workload, config: AuditConfig) -> int:
     if not args.json:
         print(f"following {args.bundle} against {workload.label} "
               f"({config.describe()}) ...")
-    return _drive_stream_session(reader, workload, config, timeout,
-                                 as_json=args.json)
+    try:
+        return _drive_stream_session(reader, workload, config, timeout,
+                                     as_json=args.json)
+    except AuditInfrastructureError as exc:
+        print(f"error: audit failed: {exc}", file=sys.stderr)
+        return 2
 
 
 def _audit_connect(args, workload, config: AuditConfig) -> int:
@@ -367,6 +372,9 @@ def _audit_connect(args, workload, config: AuditConfig) -> int:
                                      as_json=args.json)
     except (TransportError, ProtocolError) as exc:
         print(f"error: live stream failed: {exc}", file=sys.stderr)
+        return 2
+    except AuditInfrastructureError as exc:
+        print(f"error: audit failed: {exc}", file=sys.stderr)
         return 2
 
 
@@ -758,11 +766,13 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
     incremental audit session, print per-epoch verdicts, merge.
 
     Feeding is asynchronous: with ``epoch_workers > 1`` the session
-    audits several epochs concurrently while this loop keeps ingesting
-    (bounded by the session's prepass-depth backpressure); verdicts are
-    printed in epoch order as they settle.  On a synchronous session
-    every handle resolves immediately, so the loop degenerates to the
-    strict feed-print alternation.
+    audits in its own process while this loop keeps ingesting (bounded
+    by the session's prepass-depth backpressure); verdicts are printed
+    in epoch order as they settle, checked after each feed.  On a
+    synchronous session every handle resolves immediately, so the loop
+    degenerates to the strict feed-print alternation.  If that audit
+    process dies, the callers exit 2 with the session's
+    :class:`AuditInfrastructureError`.
     """
     def settle(epoch) -> bool:
         if as_json:
@@ -789,6 +799,9 @@ def _drive_stream_session(reader, workload, config: AuditConfig,
             while pending and not rejected:
                 rejected = settle(pending.pop(0).result())
             audit = session.close()
+    if session.child_unavailable:
+        print(f"note: audited in-process; the audit process could not "
+              f"start ({session.child_unavailable})", file=sys.stderr)
     if as_json:
         print(json.dumps(_audit_summary(audit), indent=2, sort_keys=True))
         return 0 if audit.accepted else 1
@@ -852,16 +865,19 @@ def main(argv=None) -> int:
                        help="deprecated alias for --workers")
         p.add_argument("--epoch-workers", type=int, default=None,
                        metavar="N",
-                       help="audit epoch shards concurrently, N at a "
-                            "time, on a shared persistent process pool "
-                            "after a redo-only state precompute "
-                            "(1 = serial epoch chain; pair with "
-                            "--epoch-size/--epoch-cuts)")
+                       help="bundle audits: audit epoch shards "
+                            "concurrently, N at a time, on a shared "
+                            "persistent process pool after a redo-only "
+                            "state precompute (pair with --epoch-size/"
+                            "--epoch-cuts); --follow/--connect: any N > 1 "
+                            "audits in one resident process while this "
+                            "one ingests (1 = serial epoch chain)")
         p.add_argument("--prepass-depth", type=int, default=None,
                        metavar="N",
-                       help="bound on in-flight primed epochs: how far "
-                            "the speculative state precompute may run "
-                            "ahead of the slowest unfinished epoch "
+                       help="bound on in-flight epochs: how far the "
+                            "speculative state precompute, or the "
+                            "slices sent to a live audit process, may "
+                            "run ahead of the slowest unfinished epoch "
                             "audit (0 = 2 * epoch-workers)")
         p.add_argument("--epoch-threads", action="store_true",
                        default=None,

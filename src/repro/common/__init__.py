@@ -5,6 +5,7 @@ rest of the library.
 """
 
 from repro.common.errors import (
+    AuditInfrastructureError,
     AuditReject,
     DivergenceError,
     RejectReason,
@@ -15,6 +16,7 @@ from repro.common.errors import (
 from repro.common.digest import FlowDigest
 
 __all__ = [
+    "AuditInfrastructureError",
     "AuditReject",
     "DivergenceError",
     "FlowDigest",

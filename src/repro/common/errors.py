@@ -89,6 +89,15 @@ class AuditReject(ReproError):
         super().__init__(message)
 
 
+class AuditInfrastructureError(ReproError):
+    """The audit could not finish for a reason outside the audited
+    inputs, e.g. a live session's audit process died mid-stream.
+
+    Never a verdict: the bundle was neither accepted nor rejected, and
+    callers must report an error (``repro audit`` exits 2).
+    """
+
+
 class DivergenceError(ReproError):
     """Control flow diverged inside a SIMD-on-demand group (Section 3.1).
 

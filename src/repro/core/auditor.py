@@ -25,17 +25,31 @@ around a long-lived service object:
   re-executes — and with ``config.workers > 1`` the re-execution itself
   runs in the existing process pool, so ingest genuinely overlaps audit
   CPU.  Epochs still audit strictly in feed order (state chains).
-* With ``config.epoch_workers > 1`` the chain itself is unrolled: at
-  feed time only the cheap, serial part runs — the cross-epoch checks
-  and the redo-only **state precompute**
+* With ``config.epoch_workers > 1`` (local, the default
+  ``epoch_processes``) ingest and audit split across two processes:
+  one resident child (:mod:`repro.core.epochchild`) gets the program
+  and the initial state once and runs this module's *serial* session
+  chain over each slice it is sent, while the calling process only
+  decodes, ships slices and settles verdicts.  Per-epoch and merged
+  results are the serial session's by construction; at most
+  ``prepass_depth`` (default ``2 * epoch_workers``) epochs are in
+  flight.  A child that cannot start leaves the session on the
+  in-process serial chain; one that dies mid-stream raises
+  :class:`~repro.common.errors.AuditInfrastructureError`, never a
+  verdict.
+* With ``epoch_processes=False`` (``--epoch-threads``) or a fleet
+  (``fleet_listen``) the chain itself is unrolled: at feed time only the
+  cheap, serial part runs — the cross-epoch checks and the redo-only
+  **state precompute**
   (:func:`~repro.core.pipeline.state_precompute_pipeline`), which
   migrates the next epoch's initial state without re-executing anything
   — and the heavy remainder (grouped re-execution, output comparison)
-  is dispatched to a pool of ``epoch_workers`` threads.  Several epochs
-  audit concurrently; results are merged strictly in feed order, so the
-  per-epoch results and the merged outcome are bit-identical to the
-  serial session (epochs after the first rejection come back *skipped*
-  and their speculative audits are discarded).
+  runs on ``epoch_workers`` threads (or, as epoch work units, on fleet
+  hosts).  Several epochs audit concurrently; results are merged
+  strictly in feed order, so the per-epoch results and the merged
+  outcome are bit-identical to the serial session (epochs after the
+  first rejection come back *skipped* and their speculative audits are
+  discarded).
 
 Soundness across epochs: the session chains each epoch's §4.5 migrated
 state into the next (acceptance is inductive, as for contiguous audit
@@ -51,6 +65,7 @@ yields exactly the slices :meth:`~AuditSession.feed_epoch` consumes.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time as _time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -59,7 +74,8 @@ from collections.abc import Iterable
 
 from repro.common.errors import AuditReject, RejectReason
 from repro.core.config import AuditConfig
-from repro.core.epochpool import EpochPool, epoch_worker_options
+from repro.core.epochchild import EpochChild
+from repro.core.epochwork import epoch_worker_options
 from repro.core.nondet import validate_nondet_reports
 from repro.core.partition import make_shard_summary
 from repro.core.pipeline import (
@@ -108,10 +124,11 @@ class EpochResult:
 class PendingEpoch:
     """Handle for an epoch fed asynchronously; :meth:`result` blocks.
 
-    In ``epoch_workers`` mode the handle resolves through the session's
-    in-order merge (a ``resolver``/``done_fn`` pair) instead of a bare
-    future, so the result a caller sees is always the *normalized* one
-    — e.g. *skipped* when an earlier epoch's concurrent audit rejected.
+    In ``epoch_workers`` mode the handle resolves through a
+    ``resolver``/``done_fn`` pair instead of a bare future: the audit
+    process's in-order results, or the thread/fleet driver's in-order
+    merge, so the result a caller sees is always the *normalized* one —
+    e.g. *skipped* when an earlier epoch's concurrent audit rejected.
     """
 
     def __init__(self, index: int,
@@ -140,8 +157,9 @@ class AuditSession:
     synchronously (:meth:`feed_epoch`) or pipelined
     (:meth:`feed_epoch_async`).  The session owns the chain state: the
     initial state it was opened with, then each accepted epoch's
-    migrated state.  Use as a context manager to guarantee
-    :meth:`close`.
+    migrated state (held by the audit process in local
+    ``epoch_workers`` mode).  Use as a context manager to guarantee
+    :meth:`close`, which also ends that process.
     """
 
     def __init__(
@@ -152,7 +170,6 @@ class AuditSession:
     ):
         self._auditor = auditor
         self._state = initial_state
-        self._pipelined = pipelined
         self._pool: ThreadPoolExecutor | None = None
         self._epoch_pool: ThreadPoolExecutor | None = None
         config = auditor.config
@@ -170,8 +187,25 @@ class AuditSession:
             # epoch_workers was left at 1.
             epoch_workers = max(epoch_workers,
                                 config.fleet_min_workers, 2)
-        self._process_pool: EpochPool | None = None
-        if epoch_workers > 1:
+        # Backpressure: submit_epoch blocks once this many epochs are in
+        # flight (speculatively primed, or sent to the audit process).
+        depth_options = config.to_options()
+        depth_options.epoch_workers = epoch_workers
+        self._prepass_depth = resolve_prepass_depth(depth_options)
+        self._process_pool = None
+        self._child: EpochChild | None = None
+        #: Why a local ``epoch_workers`` session audits in-process
+        #: instead (its audit process could not start), else None.
+        self.child_unavailable: str | None = None
+        if epoch_workers > 1 and not fleet and config.epoch_processes:
+            # Ingest/audit split: one resident child runs the serial
+            # chain; this process only decodes, ships slices, settles.
+            try:
+                self._child = EpochChild(auditor.app, config, initial_state)
+            except (OSError, ValueError, TypeError, AttributeError,
+                    pickle.PickleError) as exc:
+                self._use_serial_chain(f"{type(exc).__name__}: {exc}")
+        elif epoch_workers > 1:
             # Concurrent epoch mode: the cheap redo-only prepass chains
             # state serially at submit time; the heavy audits run in
             # this pool and are merged back strictly in feed order.
@@ -182,9 +216,9 @@ class AuditSession:
                 thread_name_prefix="audit-epoch",
             )
             if fleet:
-                # Remote epochs: the coordinator implements the same
-                # run_epoch/close/serial_fallbacks contract as
-                # EpochPool, so the merge discipline below is shared.
+                # Remote epochs: the coordinator runs each epoch work
+                # unit on a fleet host (run_epoch/close/serial_fallbacks)
+                # and the merge discipline below stays the same.
                 # Imported lazily — the core layer only depends on the
                 # fleet package when a fleet is actually requested.
                 from repro.fleet.coordinator import FleetCoordinator
@@ -197,12 +231,6 @@ class AuditSession:
                     heartbeat_timeout=config.net_idle_timeout,
                 )
                 self._offload = False
-            elif config.epoch_processes:
-                # Process-level epochs: one persistent pool shared by
-                # every epoch of this session; the threads above only
-                # submit work units and merge results.
-                self._process_pool = EpochPool(epoch_workers)
-                self._offload = False
             else:
                 # Thread driver: offload each epoch's serial re-exec to
                 # a worker process only where fork lets it inherit the
@@ -211,13 +239,6 @@ class AuditSession:
                 self._offload = (config.workers == 1
                                  and available_cpus() > 1
                                  and fork_inherits_context())
-            #: Backpressure: submit_epoch blocks once this many primed
-            #: epochs are in flight (speculative prepass depth) —
-            #: fleet-wide, since dispatches only happen from this
-            #: bounded set of in-flight epochs.
-            depth_options = config.to_options()
-            depth_options.epoch_workers = epoch_workers
-            self._prepass_depth = resolve_prepass_depth(depth_options)
             self._precompute_seconds = 0.0
             #: Feed-order merge queue: ("skipped"|"precheck"|"rejected"|
             #: "audit", payload, requests, events) per fed epoch.
@@ -229,10 +250,7 @@ class AuditSession:
             self._prepass_failed = False
             self._merge_lock = threading.RLock()
         elif pipelined:
-            # One thread: epochs must audit in feed order (state chains).
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="audit-session"
-            )
+            self._use_serial_chain(None)
         self._seen_uniq: set = set()
         self._epochs: list[EpochResult] = []
         self._summaries: list[dict[str, object]] = []
@@ -270,7 +288,8 @@ class AuditSession:
         in feed order, with ``epoch_workers``); the caller is free to
         ingest the next epoch meanwhile.
         """
-        if not self._pipelined and self._epoch_pool is None:
+        if (self._pool is None and self._epoch_pool is None
+                and self._child is None):
             raise RuntimeError(
                 "feed_epoch_async requires a pipelined session: "
                 "auditor.session(state, pipelined=True) "
@@ -280,12 +299,18 @@ class AuditSession:
 
     def submit_epoch(self, trace: Trace, reports: Reports) -> PendingEpoch:
         """Common feed path: synchronous sessions run inline, pipelined
-        sessions enqueue on the worker thread, ``epoch_workers``
-        sessions prepass inline and dispatch to the epoch pool."""
+        sessions enqueue on the worker thread, local ``epoch_workers``
+        sessions ship the slice to their audit process, and thread or
+        fleet driven ones prepass inline and dispatch to the epoch
+        pool."""
         if self._closed:
             raise RuntimeError("audit session is closed")
         index = self._fed
         self._fed += 1
+        if self._child is not None:
+            pending = self._submit_to_child(index, trace, reports)
+            if pending is not None:
+                return pending
         if self._epoch_pool is not None:
             return self._submit_epoch_concurrent(index, trace, reports)
         if self._pool is not None:
@@ -309,7 +334,47 @@ class AuditSession:
             future.set_result(self._audit_epoch(index, trace, reports))
         return PendingEpoch(index, future)
 
-    # -- the concurrent (epoch_workers) feed path -------------------------
+    def _use_serial_chain(self, reason: str | None) -> None:
+        """Audit in feed order on one worker thread of this process:
+        the pipelined session, and a local ``epoch_workers`` session
+        whose audit process could not start (``reason``)."""
+        self.child_unavailable = reason
+        self._pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="audit-session"
+        )
+
+    # -- the live ingest/audit split (local epoch_workers) ----------------
+
+    def _submit_to_child(self, index: int, trace: Trace,
+                         reports: Reports) -> PendingEpoch | None:
+        """Ship one slice to the resident audit process.  Returns None
+        when the process could not start: the session then runs the
+        serial chain in-process, beginning with this epoch.
+
+        Backpressure: at most ``prepass_depth`` epochs are in flight;
+        past that, this waits for the oldest to settle.
+        """
+        child = self._child
+        if index == 0 and not child.wait_ready():
+            child.stop()
+            self._child = None
+            self._use_serial_chain(child.unavailable)
+            return None
+        child.wait_in_flight(self._prepass_depth)
+        try:
+            child.send_epoch(trace, reports)
+        except BaseException as crash:
+            # This epoch never reached the audit process: nothing may
+            # settle past it.
+            self._crash = crash
+            raise
+        return PendingEpoch(
+            index,
+            resolver=lambda timeout=None: child.result(index, timeout),
+            done_fn=lambda: child.done(index),
+        )
+
+    # -- the concurrent (thread/fleet epoch driver) feed path -------------
 
     def _submit_epoch_concurrent(self, index: int, trace: Trace,
                                  reports: Reports) -> PendingEpoch:
@@ -394,10 +459,10 @@ class AuditSession:
             return ("rejected", pre, requests, events)
         self._prepass_state = pre.next_initial
         if self._process_pool is not None:
-            # Whole-epoch work unit on the shared persistent process
-            # pool; the primed context's stores are released here (the
-            # worker rebuilds its own from the pickled slices) — only
-            # the migrated chain state extracted above is kept.
+            # Whole-epoch work unit on a fleet host; the primed
+            # context's stores are released here (the worker rebuilds
+            # its own from the pickled slices) — only the migrated chain
+            # state extracted above is kept.
             worker_options = epoch_worker_options(options)
             future = self._epoch_pool.submit(
                 self._process_pool.run_epoch, self._auditor.app, trace,
@@ -626,6 +691,8 @@ class AuditSession:
         """The state the *next* epoch will be audited against (the last
         accepted epoch's migrated state)."""
         self._drain()
+        if self._child is not None and not self._closed:
+            return self._child.state()
         return self._state
 
     @property
@@ -661,6 +728,14 @@ class AuditSession:
     def _drain_inner(self) -> None:
         if self._closed:
             return
+        if self._child is not None:
+            if self._fed:
+                self._child.result(self._fed - 1)
+            self._epochs = self._child.results()
+            self._failure = next(
+                (epoch for epoch in self._epochs if not epoch.accepted),
+                None)
+            return
         if self._epoch_pool is not None:
             while True:
                 with self._merge_lock:
@@ -691,6 +766,14 @@ class AuditSession:
             return self._final
         try:
             self._drain()
+            if self._child is not None:
+                # The audit process's own serial session is the merged
+                # result.
+                try:
+                    self._final, self._state = self._child.finish()
+                except Exception as crash:
+                    self._crash = crash
+                    raise
         finally:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -698,10 +781,14 @@ class AuditSession:
                 self._epoch_pool.shutdown(wait=True)
             if self._process_pool is not None:
                 self._process_pool.close()
+            if self._child is not None:
+                self._child.stop()
             self._closed = True
+        if self._final is not None:
+            return self._final
         merged = self._merged
         if self._process_pool is not None:
-            # The workers re-time their own phases, so the parent-side
+            # Fleet workers re-time their own phases, so the parent-side
             # prepass is extra work the per-epoch results do not carry;
             # surface it like the one-shot driver does.  (The thread
             # driver's prepass timers already live inside each epoch's
@@ -797,13 +884,13 @@ class Auditor:
         consumed — epochs after a rejection come back as cheap *skipped*
         results, so the merged outcome (verdict, stats, shard count) is
         identical to the one-shot sharded audit over the same cuts.
-        With ``config.epoch_workers > 1`` the epochs audit concurrently
-        (only the redo-only state prepass runs between submissions) and
-        are merged back in feed order; the session itself bounds
-        in-flight primed epochs to ``config.prepass_depth`` (default
-        ``2 * epoch_workers``), so a long stream never holds more than
-        a bounded number of speculative work units in memory.  Returns
-        the merged result.
+        With ``config.epoch_workers > 1`` the epochs audit in a
+        resident audit process (or, with the thread driver or a fleet,
+        concurrently after a redo-only state prepass) while this
+        iterable keeps ingesting; the session bounds in-flight epochs
+        to ``config.prepass_depth`` (default ``2 * epoch_workers``), so
+        a long stream never holds more than a bounded number of epochs
+        in memory.  Returns the merged result.
         """
         with self.session(initial_state, pipelined=pipelined) as session:
             for item in epochs:

@@ -65,20 +65,23 @@ class AuditConfig:
     migrate: bool = False
     #: Worker processes for group re-execution; 1 means serial.
     workers: int = 1
-    #: Audit epoch shards concurrently in a pool of this size (a
+    #: Above 1, audit epochs off the calling thread.  One-shot audits
+    #: run epoch shards concurrently in a pool of this size (a
     #: redo-only state precompute materializes every epoch's initial
-    #: state first); 1 keeps the serial epoch chain.  Results are
-    #: bit-identical to the serial chain either way.
+    #: state first); live sessions run the serial chain in one resident
+    #: audit process while the caller ingests.  1 keeps the serial
+    #: epoch chain.  Results are bit-identical to it either way.
     epoch_workers: int = 1
-    #: Run whole epochs in worker *processes* on one persistent pool
-    #: shared across the run (the default); False keeps the older
-    #: thread-based epoch driver.  Only consulted when
-    #: ``epoch_workers > 1``; results are bit-identical either way.
+    #: Run epochs in worker *processes* (the default: one persistent
+    #: pool per one-shot run, one audit process per live session);
+    #: False keeps the older thread-based epoch driver.  Only consulted
+    #: when ``epoch_workers > 1``; results are bit-identical either way.
     epoch_processes: bool = True
-    #: Bound on in-flight *primed* epochs: how far the speculative
-    #: redo-only prepass may run ahead of the slowest unfinished epoch
-    #: audit (backpressure for follow/connect sessions).  0 means the
-    #: default ``2 * epoch_workers``.
+    #: Bound on in-flight epochs: how far the speculative redo-only
+    #: prepass may run ahead of the slowest unfinished epoch audit, or
+    #: how many slices a live session may have sent to its audit
+    #: process unsettled (backpressure for follow/connect sessions).
+    #: 0 means the default ``2 * epoch_workers``.
     prepass_depth: int = 0
     #: Shard the audit at quiescent cuts every ~N requests; 0 disables.
     epoch_size: int = 0

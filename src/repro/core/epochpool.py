@@ -1,14 +1,9 @@
-"""Process-level epoch execution: one persistent pool per audit run.
+"""Process-level epoch execution for offline audits: one pool per run.
 
-The concurrent epoch drivers (``sharded_audit`` with ``epoch_workers >
-1`` and the :class:`~repro.core.auditor.AuditSession` epoch-workers
-mode) historically finished each primed epoch on a *thread*, moving the
-re-execution CPU off the GIL by routing every epoch's chunks through a
-freshly created one-worker process pool (``offload_reexec``).  That
-design pays pool creation per epoch audit and keeps every phase except
-re-execution itself GIL-bound.
-
-This module promotes the epoch to the unit of process-level work:
+``sharded_audit`` with ``epoch_workers > 1`` (and the default
+``epoch_processes``) audits a complete bundle's epochs concurrently.  A
+redo-only prepass in the calling thread migrates each epoch's initial
+state; the epoch itself is then the unit of process-level work:
 
 * an **epoch work unit** is the pickled tuple ``(app, trace slice,
   reports slice, initial state, options)`` — exactly the prepass
@@ -27,9 +22,15 @@ This module promotes the epoch to the unit of process-level work:
   bodies, and deterministic stats are therefore bit-identical to the
   serial chain's per-epoch passes.
 
-Failure policy (unchanged in spirit from the chunk-level driver):
-infrastructure failures are never verdicts.  A worker killed mid-epoch
-(``BrokenProcessPool``) breaks the shared executor, so
+Live sessions do not use this pool: a streaming
+:class:`~repro.core.auditor.AuditSession` keeps the program and the
+chain state resident in one audit process instead of shipping them
+with every epoch (:mod:`repro.core.epochchild`).  The fleet
+(:mod:`repro.fleet`) implements the same ``run_epoch`` contract over
+the network.
+
+Failure policy: infrastructure failures are never verdicts.  A worker
+killed mid-epoch (``BrokenProcessPool``) breaks the shared executor, so
 :meth:`EpochPool.run_epoch` *recreates* the pool — generation-guarded,
 exactly once per breakage, so concurrently failing epochs do not
 thrash — and re-runs its own epoch serially in the calling thread.
@@ -72,8 +73,7 @@ def pools_created_total() -> int:
 # The work-unit encoding and the inline executor live in
 # repro.core.epochwork so the process pool, the serial fallback, and
 # the distributed fleet all run byte-identical payloads through one
-# entry point.  The private aliases keep historical imports working.
-_run_epoch_inline = run_epoch_inline
+# entry point.
 
 
 def _run_epoch_payload(payload: bytes):
@@ -91,7 +91,7 @@ def _run_epoch_payload(payload: bytes):
 class EpochPool:
     """One persistent process pool shared by all epochs of a run.
 
-    Thread-safe: the concurrent drivers call :meth:`run_epoch` from
+    Thread-safe: the offline driver calls :meth:`run_epoch` from
     several epoch threads at once.  The underlying executor is created
     lazily on first use (under the re-exec module's pool lock, so epoch
     workers are never forked mid-way through another driver's chunk

@@ -1,4 +1,4 @@
-"""The epoch work unit: one encoding shared by every epoch driver.
+"""The epoch work unit: one encoding shared by the offline and fleet drivers.
 
 An **epoch work unit** is the pickled tuple ``(app, trace slice,
 reports slice, initial state, options)`` — exactly the prepass
@@ -15,8 +15,9 @@ Three executors consume this unit:
 
 * the serial fallback (:func:`run_epoch_inline`, in the calling
   thread);
-* the persistent per-run :class:`~repro.core.epochpool.EpochPool`
-  (:func:`run_work_unit` in a pool worker process);
+* the persistent per-run :class:`~repro.core.epochpool.EpochPool` of
+  the offline ``sharded_audit`` driver (:func:`run_work_unit` in a pool
+  worker process);
 * the distributed fleet (:mod:`repro.fleet`), which ships the same
   pickled payload inside ``WORK`` frames and the same pickled
   :class:`AuditResult` back inside ``RESULT`` frames
@@ -26,6 +27,11 @@ Three executors consume this unit:
 Keeping the encode/decode here — instead of inside any one driver —
 is what guarantees the drivers cannot diverge: they run byte-identical
 payloads through one entry point.
+
+A local live session ships no work units: its audit process receives
+the program and the initial state once and then only epoch slices
+(:mod:`repro.core.epochchild`), because a stream's chain state is
+already resident there.
 """
 
 from __future__ import annotations

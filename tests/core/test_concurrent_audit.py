@@ -346,15 +346,28 @@ def test_feed_epoch_async_on_epoch_workers_session(counter_app):
     assert session.epochs == results
 
 
+class _KaboomBackend(PlainInterpBackend):
+    """Crashes (a bug, not a verdict) on every chunk."""
+
+    name = "kaboom"
+
+    def run_chunk(self, *args, **kwargs):
+        raise RuntimeError("kaboom")
+
+
 @pytest.mark.parametrize("driver", ["process", "thread"])
 def test_crashed_epoch_audit_never_reports_accepted(counter_app,
                                                     monkeypatch, driver):
     """A non-AuditReject crash inside a concurrent epoch audit is
     latched: close() raises it, and *every* later close()/result()/
     property access re-raises instead of falling through to ACCEPTED
-    over unaudited epochs — whichever epoch driver ran the audit."""
+    over unaudited epochs — whichever epoch driver ran the audit.
+
+    The process driver's crash happens in the session's audit process
+    (a backend that raises, inherited under fork) and is shipped back;
+    under spawn the unregistered backend keeps the process from
+    starting, and the in-process serial chain crashes the same way."""
     import repro.core.auditor as auditor_mod
-    import repro.core.epochpool as epochpool_mod
 
     execution = _epoch_execution(counter_app)
     shards = partition_audit_inputs(execution.trace, execution.reports,
@@ -363,13 +376,17 @@ def test_crashed_epoch_audit_never_reports_accepted(counter_app,
     def _boom(*args, **kwargs):
         raise RuntimeError("kaboom")
 
+    backend = "interp"
     if driver == "process":
-        monkeypatch.setattr(epochpool_mod.EpochPool, "run_epoch", _boom)
+        register_reexec_backend("kaboom", _KaboomBackend)
+        monkeypatch.setitem(_BACKENDS, "kaboom", _KaboomBackend)
+        backend = "kaboom"
     else:
         monkeypatch.setattr(auditor_mod, "finish_precomputed_audit",
                             _boom)
     auditor = Auditor(counter_app, AuditConfig(
-        epoch_workers=2, epoch_processes=(driver == "process")))
+        epoch_workers=2, epoch_processes=(driver == "process"),
+        backend=backend))
     session = auditor.session(execution.initial_state)
     for shard in shards:
         session.submit_epoch(shard.trace, shard.reports)

@@ -1,15 +1,17 @@
-"""Shared persistent epoch-pool lifecycle (process-level epoch execution).
+"""Shared persistent epoch-pool lifecycle (offline process-level epochs).
 
-Covers the PR-5 driver invariants:
+Covers the ``sharded_audit`` driver invariants:
 
-* one ``sharded_audit`` / ``AuditSession`` run creates exactly **one**
-  persistent process pool, reused by every epoch of the run;
-* two concurrent sessions get independent pools;
+* one ``sharded_audit`` run creates exactly **one** persistent process
+  pool, reused by every epoch of the run;
 * a worker killed mid-epoch (``BrokenProcessPool``) recreates the
   shared pool for the remaining epochs while the lost epoch re-runs
   serially — verdicts still match the serial chain;
 * ``prepass_depth`` bounds how far the speculative prepass runs ahead
-  of the auditor in a follow-style (async-fed) session.
+  of the auditor in a follow-style (async-fed) thread-driver session.
+
+Live sessions with ``epoch_workers > 1`` use no pool: see
+``test_epochchild.py``.
 """
 
 from __future__ import annotations
@@ -67,67 +69,6 @@ def test_sharded_audit_creates_one_pool_for_all_epochs(counter_app):
     assert epochpool.pools_created_total() - before == 1
 
 
-def test_session_pool_identity_stable_across_epochs(counter_app):
-    execution = _epoch_execution(counter_app)
-    shards = partition_audit_inputs(execution.trace, execution.reports,
-                                    cuts=execution.epoch_marks)
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
-    with auditor.session(execution.initial_state) as session:
-        pool = session._process_pool
-        assert isinstance(pool, EpochPool)
-        for shard in shards:
-            session.feed_epoch(shard.trace, shard.reports)
-            # The very same pool object serves every epoch ...
-            assert session._process_pool is pool
-    merged = session.close()
-    assert merged.accepted
-    # ... and it materialized exactly one executor over the whole run.
-    assert pool.pools_created == 1
-    assert pool.serial_fallbacks == 0
-
-
-def test_two_concurrent_sessions_get_independent_pools(counter_app):
-    runs = [_epoch_execution(counter_app, seed=7),
-            _epoch_execution(counter_app, seed=23)]
-    references = [
-        ssco_audit(counter_app, ex.trace, ex.reports, ex.initial_state,
-                   epoch_cuts=ex.epoch_marks)
-        for ex in runs
-    ]
-    results = [None, None]
-    pools = [None, None]
-    errors = []
-
-    def _drive(slot, execution):
-        try:
-            shards = partition_audit_inputs(
-                execution.trace, execution.reports,
-                cuts=execution.epoch_marks)
-            auditor = Auditor(counter_app, AuditConfig(epoch_workers=2))
-            with auditor.session(execution.initial_state) as session:
-                pools[slot] = session._process_pool
-                for shard in shards:
-                    session.submit_epoch(shard.trace, shard.reports)
-            results[slot] = session.close()
-        except BaseException as exc:  # surfaced in the main thread
-            errors.append((slot, exc))
-
-    threads = [threading.Thread(target=_drive, args=(slot, ex))
-               for slot, ex in enumerate(runs)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors, errors
-    assert pools[0] is not None and pools[1] is not None
-    assert pools[0] is not pools[1]
-    for pool in pools:
-        assert pool.pools_created == 1
-    for merged, reference in zip(results, references):
-        assert merged.accepted, (merged.reason, merged.detail)
-        assert merged.produced == reference.produced
-
-
 # -- worker loss: recreate the shared pool, finish serially -------------------
 
 
@@ -146,12 +87,20 @@ class _KamikazePoolBackend(PlainInterpBackend):
 
 
 def test_killed_epoch_worker_recreates_pool_and_matches_serial(
-        counter_app):
+        counter_app, monkeypatch):
     """Every epoch's worker dies mid-audit: each falls back to a serial
     in-thread re-run, the shared pool is recreated for the epochs still
     to come, and the merged verdict/bodies match the serial chain's
     reference backend exactly."""
     execution = _epoch_execution(counter_app)
+    pools = []
+    create = EpochPool.__init__
+
+    def tracked(self, *args, **kwargs):
+        create(self, *args, **kwargs)
+        pools.append(self)
+
+    monkeypatch.setattr(EpochPool, "__init__", tracked)
     register_reexec_backend("kamikaze-pool", _KamikazePoolBackend)
     try:
         reference = ssco_audit(counter_app, execution.trace,
@@ -159,16 +108,11 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
                                execution.initial_state,
                                epoch_cuts=execution.epoch_marks,
                                backend="interp")
-        shards = partition_audit_inputs(execution.trace,
-                                        execution.reports,
-                                        cuts=execution.epoch_marks)
-        auditor = Auditor(counter_app, AuditConfig(
-            epoch_workers=2, backend="kamikaze-pool"))
-        with auditor.session(execution.initial_state) as session:
-            pool = session._process_pool
-            for shard in shards:
-                session.submit_epoch(shard.trace, shard.reports)
-        merged = session.close()
+        merged = ssco_audit(counter_app, execution.trace,
+                            execution.reports, execution.initial_state,
+                            epoch_cuts=execution.epoch_marks,
+                            epoch_workers=2, backend="kamikaze-pool")
+        (pool,) = pools
         assert merged.accepted, (merged.reason, merged.detail)
         assert merged.produced == reference.produced
         assert merged.stats["fallback_requests"] == \
@@ -190,28 +134,30 @@ def test_killed_epoch_worker_recreates_pool_and_matches_serial(
 
 def test_prepass_depth_bounds_inflight_primed_epochs(counter_app,
                                                      monkeypatch):
-    """A follow-style session feeding faster than the pool audits: the
-    speculative prepass stalls once ``prepass_depth`` primed epochs are
-    in flight, instead of priming the whole stream ahead of the
-    auditor."""
+    """A follow-style thread-driver session feeding faster than its
+    epochs audit: the speculative prepass stalls once
+    ``prepass_depth`` primed epochs are in flight, instead of priming
+    the whole stream ahead of the auditor."""
+    import repro.core.auditor as auditor_mod
+
     execution = _epoch_execution(counter_app, n=80, epoch_size=8)
     shards = partition_audit_inputs(execution.trace, execution.reports,
                                     cuts=execution.epoch_marks)
     assert len(shards) >= 5
     depth = 2
     gate = threading.Event()
-    original = EpochPool.run_epoch
+    original = auditor_mod.finish_precomputed_audit
 
-    def gated(self, *args, **kwargs):
+    def gated(*args, **kwargs):
         assert gate.wait(60), "gate never released"
-        return original(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(EpochPool, "run_epoch", gated)
+    monkeypatch.setattr(auditor_mod, "finish_precomputed_audit", gated)
     serial = Auditor(counter_app, AuditConfig()).audit_epochs(
         shards, execution.initial_state)
 
-    auditor = Auditor(counter_app, AuditConfig(epoch_workers=2,
-                                               prepass_depth=depth))
+    auditor = Auditor(counter_app, AuditConfig(
+        epoch_workers=2, epoch_processes=False, prepass_depth=depth))
     session = auditor.session(execution.initial_state)
     assert session._prepass_depth == depth
 
